@@ -214,24 +214,25 @@ func BenchmarkAccelGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockRunnerIntegerPath times one transformer block executed
-// entirely on the integer QUA datapath (QUB GEMMs + integer SFUs).
+// BenchmarkBlockRunnerIntegerPath times one transformer block of a
+// quantized ViT-Nano (QUQ, Full, 8-bit) executed entirely on the integer
+// QUA datapath (QUB GEMMs + integer SFUs).
 func BenchmarkBlockRunnerIntegerPath(b *testing.B) {
-	src := rng.New(12)
-	blk := vit.NewBlock(48, 3, 4)
-	blk.QKV.W.Apply(func(float64) float64 { return src.Gauss(0, 0.2) })
-	blk.Proj.W.Apply(func(float64) float64 { return src.Gauss(0, 0.15) })
-	blk.FC1.W.Apply(func(float64) float64 { return src.Gauss(0, 0.2) })
-	blk.FC2.W.Apply(func(float64) float64 { return src.Gauss(0, 0.15) })
-	x := tensor.New(17, 48)
-	for i := range x.Data() {
-		x.Data()[i] = src.Laplace(0.8)
-	}
-	params, err := accel.CalibrateBlock(blk, []*tensor.Tensor{x}, 8)
+	cfg := vit.ViTNano
+	m := vit.New(cfg, 12)
+	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{Bits: 8, Regime: ptq.Full, Images: data.CalibrationSet(cfg, 2, 12)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	runner, err := accel.NewBlockRunner(blk, params, accel.DefaultArray(8))
+	var x *tensor.Tensor
+	qm.ForwardOpts(data.Images(cfg, 1, 13)[0], vit.ForwardOpts{Tap: func(s vit.Site, t *tensor.Tensor) *tensor.Tensor {
+		if s.Block == -1 && s.Name == "embed.out" {
+			x = t.Clone()
+		}
+		return t
+	}})
+	blk := qm.Model.(*vit.ViT).Blocks[0]
+	runner, err := accel.NewBlockRunner(blk, 0, qm.ActParams(), qm.WeightParams, accel.DefaultArray(8))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"quq/internal/data"
 	"quq/internal/dist"
 	"quq/internal/hweval"
+	"quq/internal/ptq"
 	"quq/internal/quant"
 	"quq/internal/rng"
 	"quq/internal/tensor"
@@ -99,14 +100,19 @@ func main() {
 	fmt.Printf("BaseQ reference:   %.3f mm2, %.1f mW\n", base.AreaMM2, base.PowerMW)
 }
 
-// runModel executes a complete ViT-Nano inference on the integer QUA
-// datapath and reports end-to-end cycles, latency and energy for both
-// array sizes of Table 4.
+// runModel quantizes ViT-Nano with the PTQ pipeline (QUQ, Full regime —
+// the calibration serving uses), executes one inference of that
+// quantized model on the integer QUA datapath, and reports end-to-end
+// cycles, latency and energy for the configured array.
 func runModel(n, bits int, seed uint64) {
 	cfg := vit.ViTNano
 	mdl := vit.New(cfg, seed)
 	calib := data.CalibrationSet(cfg, 8, seed)
-	runner, err := accel.NewModelRunner(mdl, calib, bits, accel.ArrayConfig{N: n, Bits: bits})
+	qm, err := ptq.Quantize(mdl, ptq.NewQUQ(), ptq.CalibOptions{Bits: bits, Regime: ptq.Full, Images: calib})
+	if err != nil {
+		log.Fatal(err)
+	}
+	runner, err := accel.NewModelRunner(qm.Model, qm.ActParams(), qm.WeightParams, accel.ArrayConfig{N: n, Bits: bits})
 	if err != nil {
 		log.Fatal(err)
 	}

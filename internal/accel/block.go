@@ -11,107 +11,34 @@ import (
 	"quq/internal/vit"
 )
 
-// BlockParams holds the calibrated QUQ parameter sets for every
-// quantization point of one transformer block — the Figure 1 sites — plus
-// the weight quantizers. CalibrateBlock builds them from sample inputs.
-type BlockParams struct {
-	Bits int
-
-	In         *quant.Params // block input (residual stream)
-	LN1Out     *quant.Params
-	Q, K, V    *quant.Params
-	SoftmaxIn  *quant.Params
-	SoftmaxOut *quant.Params
-	ProjIn     *quant.Params
-	ProjOut    *quant.Params
-	Resid1     *quant.Params
-	LN2Out     *quant.Params
-	GeluIn     *quant.Params
-	GeluOut    *quant.Params
-	FC2Out     *quant.Params
-	Resid2     *quant.Params
-
-	WQKV, WProj, WFC1, WFC2 *quant.Params
-}
-
-// CalibrateBlock runs the block in floating point over the sample inputs
-// (each [T, dim]), collects every site's values, and calibrates QUQ
-// parameters for all of them with the paper's defaults.
-func CalibrateBlock(b *vit.Block, inputs []*tensor.Tensor, bits int) (*BlockParams, error) {
-	if len(inputs) == 0 {
-		return nil, fmt.Errorf("accel: no calibration inputs")
-	}
-	acc := map[string][]float64{}
-	tap := func(site vit.Site, x *tensor.Tensor) *tensor.Tensor {
-		acc[site.Name] = append(acc[site.Name], x.Data()...)
-		return x
-	}
-	for _, in := range inputs {
-		acc["block.in"] = append(acc["block.in"], in.Data()...)
-		b.Forward(in, 1, 0, vit.ForwardOpts{Tap: tap})
-	}
-	cal := func(name string) (*quant.Params, error) {
-		xs, ok := acc[name]
-		if !ok {
-			return nil, fmt.Errorf("accel: site %q not observed during calibration", name)
-		}
-		return quant.CalibrateRefined(xs, bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions()), nil
-	}
-	p := &BlockParams{Bits: bits}
-	var err error
-	assign := func(dst **quant.Params, site string) {
-		if err != nil {
-			return
-		}
-		*dst, err = cal(site)
-	}
-	assign(&p.In, "block.in")
-	assign(&p.LN1Out, "ln1.out")
-	assign(&p.Q, "attn.q")
-	assign(&p.K, "attn.k")
-	assign(&p.V, "attn.v")
-	assign(&p.SoftmaxIn, "attn.softmax_in")
-	assign(&p.SoftmaxOut, "attn.softmax_out")
-	assign(&p.ProjIn, "attn.proj_in")
-	assign(&p.ProjOut, "attn.proj_out")
-	assign(&p.Resid1, "resid1.out")
-	assign(&p.LN2Out, "ln2.out")
-	assign(&p.GeluIn, "mlp.gelu_in")
-	assign(&p.GeluOut, "mlp.gelu_out")
-	assign(&p.FC2Out, "mlp.fc2_out")
-	assign(&p.Resid2, "resid2.out")
-	if err != nil {
-		return nil, err
-	}
-	calW := func(w *tensor.Tensor) *quant.Params {
-		return quant.CalibrateRefined(w.Data(), bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions())
-	}
-	p.WQKV = calW(b.QKV.W)
-	p.WProj = calW(b.Proj.W)
-	p.WFC1 = calW(b.FC1.W)
-	p.WFC2 = calW(b.FC2.W)
-	return p, nil
-}
-
 // BlockRunner executes one transformer block entirely on the QUA
 // datapath: every GEMM runs as a QUB integer matrix multiply with
 // integer requantization, and LayerNorm/Softmax/GELU/residual-add run on
 // the integer SFUs. No floating-point value enters the data path between
 // the input encoding and the output decoding.
+//
+// The runner owns no calibration: it executes the quantizers of a
+// Full-regime, QUQ-method PTQ model (ptq.QuantizedModel's activation
+// params and WeightParams), so the simulator runs exactly the quantized
+// model that the float and integer serving paths run.
 type BlockRunner struct {
 	blk *vit.Block
-	p   *BlockParams
 	arr ArrayConfig
+
+	// in encodes the block input; the rest are the output quantizers of
+	// the block's requantizing GEMMs.
+	in, q, k, v, softmaxIn, projIn *quant.Params
+	projOut, geluIn, fc2Out        *quant.Params
 
 	ln1, ln2   *sfu.LayerNormUnit
 	softmax    *sfu.Unit
 	gelu       *sfu.Unit
 	add1, add2 *sfu.AddUnit
 
-	// Resident prepared weight operands: QUB-decoded once at construction
-	// into pre-shifted int64 form and reused by every Run. The QKV weight
-	// is split into its three column groups so each can feed its own
-	// quantization unit.
+	// Resident prepared weight operands, recovered once at construction
+	// from the model's fake-quantized weights and reused by every Run.
+	// The QKV weight is split into its three column groups so each can
+	// feed its own quantization unit.
 	pQ, pK, pV *PreparedOperand
 	pProj      *PreparedOperand
 	pFC1, pFC2 *PreparedOperand
@@ -124,45 +51,111 @@ type BlockRunner struct {
 	rGeluOut             qub.Registers
 }
 
-// RunStats aggregates the cycle accounting of one block execution.
+// RunStats aggregates the cycle accounting of one block or whole-model
+// execution.
 type RunStats struct {
 	GEMMCycles int64
 	MACs       int64
 }
 
-// NewBlockRunner prepares the units and pre-encodes the weights.
-func NewBlockRunner(blk *vit.Block, p *BlockParams, arr ArrayConfig) (*BlockRunner, error) {
-	r := &BlockRunner{blk: blk, p: p, arr: arr}
+func (s *RunStats) add(g GEMMStats) {
+	s.GEMMCycles += g.Cycles
+	s.MACs += g.MACs
+}
+
+// siteParams resolves site keys against a calibration map, remembering
+// every key it could not find so a constructor can report them together.
+type siteParams struct {
+	m       map[string]*quant.Params
+	missing []string
+}
+
+func (s *siteParams) get(block int, name string) *quant.Params {
+	key := vit.Site{Block: block, Name: name}.Key()
+	p := s.m[key]
+	if p == nil {
+		s.missing = append(s.missing, key)
+	}
+	return p
+}
+
+func (s *siteParams) err() error {
+	if len(s.missing) == 0 {
+		return nil
+	}
+	return fmt.Errorf("accel: no calibrated params for %v (the simulator needs a Full-regime QUQ model)", s.missing)
+}
+
+// blockInput names the site whose quantizer encodes block i's input in
+// the plain ViT chain: the token embedding for block 0, the previous
+// block's output otherwise.
+func blockInput(i int) (block int, name string) {
+	if i == 0 {
+		return -1, "embed.out"
+	}
+	return i - 1, "resid2.out"
+}
+
+// prepareWeight recovers the resident integer operand of one weight
+// site from its fake-quantized tensor.
+func prepareWeight(weights map[string]*quant.Params, site vit.Site, l *vit.Linear) (*PreparedOperand, error) {
+	p := weights[site.Key()]
+	if p == nil {
+		return nil, fmt.Errorf("accel: weight %s has no calibrated params (the simulator needs a QUQ model)", site.Key())
+	}
+	prep, err := PrepareQuantized(p, l.W.Data(), l.W.Dim(0), l.W.Dim(1))
+	if err != nil {
+		return nil, fmt.Errorf("accel: weight %s: %w", site.Key(), err)
+	}
+	return prep, nil
+}
+
+// NewBlockRunner builds the integer datapath for block index i of a
+// quantized plain ViT. acts maps activation site keys (vit.Site.Key) to
+// their calibrated QUQ params and weights maps weight site keys to the
+// params the weights were fake-quantized with; blk must carry those
+// fake-quantized weights.
+func NewBlockRunner(blk *vit.Block, i int, acts, weights map[string]*quant.Params, arr ArrayConfig) (*BlockRunner, error) {
+	a := &siteParams{m: acts}
+	r := &BlockRunner{blk: blk, arr: arr}
+	r.in = a.get(blockInput(i))
+	ln1Out := a.get(i, "ln1.out")
+	r.q, r.k, r.v = a.get(i, "attn.q"), a.get(i, "attn.k"), a.get(i, "attn.v")
+	r.softmaxIn = a.get(i, "attn.softmax_in")
+	softmaxOut := a.get(i, "attn.softmax_out")
+	r.projIn = a.get(i, "attn.proj_in")
+	r.projOut = a.get(i, "attn.proj_out")
+	resid1 := a.get(i, "resid1.out")
+	ln2Out := a.get(i, "ln2.out")
+	r.geluIn = a.get(i, "mlp.gelu_in")
+	geluOut := a.get(i, "mlp.gelu_out")
+	r.fc2Out = a.get(i, "mlp.fc2_out")
+	resid2 := a.get(i, "resid2.out")
+	if err := a.err(); err != nil {
+		return nil, err
+	}
+
 	var err error
-	if r.ln1, err = sfu.NewLayerNormUnit(p.In, p.LN1Out, blk.LN1.Gamma, blk.LN1.Beta); err != nil {
+	if r.ln1, err = sfu.NewLayerNormUnit(r.in, ln1Out, blk.LN1.Gamma, blk.LN1.Beta); err != nil {
 		return nil, fmt.Errorf("accel: ln1 unit: %w", err)
 	}
-	if r.ln2, err = sfu.NewLayerNormUnit(p.Resid1, p.LN2Out, blk.LN2.Gamma, blk.LN2.Beta); err != nil {
+	if r.ln2, err = sfu.NewLayerNormUnit(resid1, ln2Out, blk.LN2.Gamma, blk.LN2.Beta); err != nil {
 		return nil, fmt.Errorf("accel: ln2 unit: %w", err)
 	}
-	if r.softmax, err = sfu.NewUnit(p.SoftmaxIn, p.SoftmaxOut); err != nil {
+	if r.softmax, err = sfu.NewUnit(r.softmaxIn, softmaxOut); err != nil {
 		return nil, fmt.Errorf("accel: softmax unit: %w", err)
 	}
-	if r.gelu, err = sfu.NewUnit(p.GeluIn, p.GeluOut); err != nil {
+	if r.gelu, err = sfu.NewUnit(r.geluIn, geluOut); err != nil {
 		return nil, fmt.Errorf("accel: gelu unit: %w", err)
 	}
-	if r.add1, err = sfu.NewAddUnit(p.In, p.ProjOut, p.Resid1); err != nil {
+	if r.add1, err = sfu.NewAddUnit(r.in, r.projOut, resid1); err != nil {
 		return nil, fmt.Errorf("accel: residual adder 1: %w", err)
 	}
-	if r.add2, err = sfu.NewAddUnit(p.Resid1, p.FC2Out, p.Resid2); err != nil {
+	if r.add2, err = sfu.NewAddUnit(resid1, r.fc2Out, resid2); err != nil {
 		return nil, fmt.Errorf("accel: residual adder 2: %w", err)
 	}
-	// Encode each weight once and decode it straight into a resident
-	// prepared operand: Run never touches qub words (or floats) on the
-	// weight side again.
-	prep := func(p *quant.Params, w *tensor.Tensor) (*PreparedOperand, error) {
-		regs, err := qub.RegistersFor(p)
-		if err != nil {
-			return nil, err
-		}
-		return PrepareWords(qub.EncodeTensor(p, w.Data()), regs, w.Dim(0), w.Dim(1))
-	}
-	qkv, err := prep(p.WQKV, blk.QKV.W)
+
+	qkv, err := prepareWeight(weights, vit.Site{Block: i, Name: "attn.qkv.w"}, blk.QKV)
 	if err != nil {
 		return nil, err
 	}
@@ -170,31 +163,31 @@ func NewBlockRunner(blk *vit.Block, p *BlockParams, arr ArrayConfig) (*BlockRunn
 	r.pQ = qkv.SliceCols(0, dim)
 	r.pK = qkv.SliceCols(dim, 2*dim)
 	r.pV = qkv.SliceCols(2*dim, 3*dim)
-	if r.pProj, err = prep(p.WProj, blk.Proj.W); err != nil {
+	if r.pProj, err = prepareWeight(weights, vit.Site{Block: i, Name: "attn.proj.w"}, blk.Proj); err != nil {
 		return nil, err
 	}
-	if r.pFC1, err = prep(p.WFC1, blk.FC1.W); err != nil {
+	if r.pFC1, err = prepareWeight(weights, vit.Site{Block: i, Name: "mlp.fc1.w"}, blk.FC1); err != nil {
 		return nil, err
 	}
-	if r.pFC2, err = prep(p.WFC2, blk.FC2.W); err != nil {
+	if r.pFC2, err = prepareWeight(weights, vit.Site{Block: i, Name: "mlp.fc2.w"}, blk.FC2); err != nil {
 		return nil, err
 	}
-	for _, a := range []struct {
+	for _, reg := range []struct {
 		dst  *qub.Registers
 		p    *quant.Params
 		site string
 	}{
-		{&r.rLN1, p.LN1Out, "ln1.out"},
-		{&r.rLN2, p.LN2Out, "ln2.out"},
-		{&r.rQ, p.Q, "attn.q"},
-		{&r.rK, p.K, "attn.k"},
-		{&r.rV, p.V, "attn.v"},
-		{&r.rSoftmaxOut, p.SoftmaxOut, "attn.softmax_out"},
-		{&r.rProjIn, p.ProjIn, "attn.proj_in"},
-		{&r.rGeluOut, p.GeluOut, "mlp.gelu_out"},
+		{&r.rLN1, ln1Out, "ln1.out"},
+		{&r.rLN2, ln2Out, "ln2.out"},
+		{&r.rQ, r.q, "attn.q"},
+		{&r.rK, r.k, "attn.k"},
+		{&r.rV, r.v, "attn.v"},
+		{&r.rSoftmaxOut, softmaxOut, "attn.softmax_out"},
+		{&r.rProjIn, r.projIn, "attn.proj_in"},
+		{&r.rGeluOut, geluOut, "mlp.gelu_out"},
 	} {
-		if *a.dst, err = qub.RegistersFor(a.p); err != nil {
-			return nil, fmt.Errorf("accel: registers for %s: %w", a.site, err)
+		if *reg.dst, err = qub.RegistersFor(reg.p); err != nil {
+			return nil, fmt.Errorf("accel: registers for %s: %w", reg.site, err)
 		}
 	}
 	return r, nil
@@ -237,8 +230,7 @@ func (r *BlockRunner) gemmP(x []qub.Word, rx qub.Registers, w *PreparedOperand,
 func (r *BlockRunner) finishGEMM(res *GEMMResult, accUnit float64, m, n int,
 	bias []float64, pout *quant.Params, stats *RunStats) ([]qub.Word, error) {
 
-	stats.GEMMCycles += res.Stats.Cycles
-	stats.MACs += res.Stats.MACs
+	stats.add(res.Stats)
 	qu, err := NewQuantizeUnit(pout, accUnit)
 	if err != nil {
 		return nil, err
@@ -277,7 +269,7 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 	dh := dim / heads
 	stats := &RunStats{}
 
-	xw := qub.EncodeTensor(r.p.In, x.Data())
+	xw := qub.EncodeTensor(r.in, x.Data())
 
 	// LayerNorm 1 (row-wise SFU).
 	h1 := make([]qub.Word, len(xw))
@@ -289,15 +281,15 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 	// runs as three column groups, each fanned into its own quantization
 	// unit (hardware shares the accumulators; the cycle model charges
 	// each group's tile schedule).
-	qWords, err := r.gemmP(h1, r.rLN1, r.pQ, t, dim, r.blk.QKV.B[:dim], r.p.Q, stats)
+	qWords, err := r.gemmP(h1, r.rLN1, r.pQ, t, dim, r.blk.QKV.B[:dim], r.q, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	kW, err := r.gemmP(h1, r.rLN1, r.pK, t, dim, r.blk.QKV.B[dim:2*dim], r.p.K, stats)
+	kW, err := r.gemmP(h1, r.rLN1, r.pK, t, dim, r.blk.QKV.B[dim:2*dim], r.k, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	vW, err := r.gemmP(h1, r.rLN1, r.pV, t, dim, r.blk.QKV.B[2*dim:], r.p.V, stats)
+	vW, err := r.gemmP(h1, r.rLN1, r.pV, t, dim, r.blk.QKV.B[2*dim:], r.v, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -309,7 +301,7 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 	for hd := 0; hd < heads; hd++ {
 		qh := sliceCols(qWords, t, dim, hd*dh, (hd+1)*dh)                     // [t, dh]
 		khT := transposeWords(sliceCols(kW, t, dim, hd*dh, (hd+1)*dh), t, dh) // [dh, t]
-		scores, err := r.gemmQ(qh, r.rQ, khT, r.rK, t, dh, t, nil, scale, r.p.SoftmaxIn, stats)
+		scores, err := r.gemmQ(qh, r.rQ, khT, r.rK, t, dh, t, nil, scale, r.softmaxIn, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -318,7 +310,7 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 			copy(probs[row*t:(row+1)*t], r.softmax.Softmax(scores[row*t:(row+1)*t]))
 		}
 		vh := sliceCols(vW, t, dim, hd*dh, (hd+1)*dh) // [t, dh]
-		ctxH, err := r.gemmQ(probs, r.rSoftmaxOut, vh, r.rV, t, t, dh, nil, 1, r.p.ProjIn, stats)
+		ctxH, err := r.gemmQ(probs, r.rSoftmaxOut, vh, r.rV, t, t, dh, nil, 1, r.projIn, stats)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -328,7 +320,7 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 		}
 	}
 
-	projOut, err := r.gemmP(ctx, r.rProjIn, r.pProj, t, dim, r.blk.Proj.B, r.p.ProjOut, stats)
+	projOut, err := r.gemmP(ctx, r.rProjIn, r.pProj, t, dim, r.blk.Proj.B, r.projOut, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -342,12 +334,12 @@ func (r *BlockRunner) Run(x *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 		copy(h2[row*dim:(row+1)*dim], r.ln2.Row(x1[row*dim:(row+1)*dim]))
 	}
 	hidden := r.blk.FC1.Out()
-	hid, err := r.gemmP(h2, r.rLN2, r.pFC1, t, dim, r.blk.FC1.B, r.p.GeluIn, stats)
+	hid, err := r.gemmP(h2, r.rLN2, r.pFC1, t, dim, r.blk.FC1.B, r.geluIn, stats)
 	if err != nil {
 		return nil, nil, err
 	}
 	act := r.gelu.GELU(hid)
-	mlpOut, err := r.gemmP(act, r.rGeluOut, r.pFC2, t, hidden, r.blk.FC2.B, r.p.FC2Out, stats)
+	mlpOut, err := r.gemmP(act, r.rGeluOut, r.pFC2, t, hidden, r.blk.FC2.B, r.fc2Out, stats)
 	if err != nil {
 		return nil, nil, err
 	}

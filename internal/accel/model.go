@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math"
 
 	"quq/internal/quant"
 	"quq/internal/qub"
@@ -14,181 +13,110 @@ import (
 // ModelRunner executes an entire plain ViT on the QUA datapath: the patch
 // embedding and head GEMMs run as QUB integer matrix multiplies, every
 // transformer block runs on a BlockRunner, and the final LayerNorm runs
-// on the integer SFU. Only the input image and the output logits cross
-// the float boundary.
+// on the integer SFU. The embedding and head accumulators are decoded at
+// the float boundary (acc·Δx·Δw + bias), as the serving path's integer
+// engine does; token assembly adds the class token and position
+// embeddings there before block 0 re-encodes.
 //
-// Swin and DeiT variants are served by the per-block runner; the whole-
-// model chain is provided for the plain ViT, which is the architecture
-// the paper's accelerator discussion walks through.
+// The whole-model chain covers the plain ViT, the architecture the
+// paper's accelerator discussion walks through. BlockRunner also runs
+// DeiT blocks (global attention over one sequence); Swin's windowed
+// blocks are not simulated.
 type ModelRunner struct {
 	m   *vit.ViT
 	arr ArrayConfig
 
-	embedIn  *quant.Params // patch vectors
-	embedW   *quant.Params
-	embedOut *quant.Params // token stream entering block 0
+	patchIn  *quant.Params // patch vectors entering the embedding GEMM
+	rPatchIn qub.Registers
+	pPatch   *PreparedOperand
 	blocks   []*BlockRunner
+	lastOut  *quant.Params // last block output, the final LayerNorm input
 	finalLN  *sfu.LayerNormUnit
-	headIn   *quant.Params
-	headW    *quant.Params
-	headOut  *quant.Params
-
-	wEmbed, wHead   []qub.Word
-	rWEmbed, rWHead qub.Registers
+	rHeadIn  qub.Registers
+	pHead    *PreparedOperand
 }
 
-// ModelStats aggregates the cycle accounting of one inference.
-type ModelStats struct {
-	GEMMCycles int64
-	MACs       int64
-}
-
-// NewModelRunner calibrates every quantization point of the model over
-// the calibration images and prepares the integer pipeline.
-func NewModelRunner(model vit.Model, calib []*tensor.Tensor, bits int, arr ArrayConfig) (*ModelRunner, error) {
+// NewModelRunner prepares the integer pipeline for a quantized plain
+// ViT. model must carry the fake-quantized weights; acts and weights are
+// the calibration it was quantized with, keyed by vit.Site.Key (see
+// NewBlockRunner). The build is all-or-nothing: a missing site — a
+// Partial-regime or non-QUQ calibration — fails it.
+func NewModelRunner(model vit.Model, acts, weights map[string]*quant.Params, arr ArrayConfig) (*ModelRunner, error) {
 	m, ok := model.(*vit.ViT)
-	if !ok {
+	if !ok || m.Config().Variant != vit.VariantViT {
 		return nil, fmt.Errorf("accel: ModelRunner supports the plain ViT variant")
 	}
-	cfg := m.Config()
-	if cfg.Variant != vit.VariantViT {
-		return nil, fmt.Errorf("accel: ModelRunner supports the plain ViT variant")
-	}
-	if len(calib) == 0 {
-		return nil, fmt.Errorf("accel: no calibration images")
-	}
-
-	// Collect per-site samples over the calibration set, plus the
-	// tokenized block inputs needed by the per-block calibrators.
-	siteAcc := map[string][]float64{}
-	blockInputs := make([][]*tensor.Tensor, cfg.Depth)
-	var patchAcc, logitAcc []float64
-	for _, img := range calib {
-		patches := vit.Patchify(img, cfg.PatchSize)
-		patchAcc = append(patchAcc, patches.Data()...)
-		logits := m.Forward(img, vit.ForwardOpts{Tap: func(s vit.Site, x *tensor.Tensor) *tensor.Tensor {
-			key := s.Key()
-			switch {
-			case s.Block == -1 && s.Name == "embed.out":
-				blockInputs[0] = append(blockInputs[0], x.Clone())
-				siteAcc[key] = append(siteAcc[key], x.Data()...)
-			case s.Name == "resid2.out" && s.Block < cfg.Depth-1:
-				blockInputs[s.Block+1] = append(blockInputs[s.Block+1], x.Clone())
-			case s.Block == -1 && s.Name == "head.in":
-				siteAcc[key] = append(siteAcc[key], x.Data()...)
-			case s.Name == "resid2.out" && s.Block == cfg.Depth-1:
-				siteAcc["final.in"] = append(siteAcc["final.in"], x.Data()...)
-			}
-			return x
-		}})
-		logitAcc = append(logitAcc, logits.Data()...)
-	}
-	cal := func(xs []float64) *quant.Params {
-		return quant.CalibrateRefined(xs, bits, quant.DefaultPRAOptions(), quant.DefaultRefineOptions())
-	}
-
+	depth := len(m.Blocks)
+	a := &siteParams{m: acts}
 	r := &ModelRunner{m: m, arr: arr}
-	r.embedIn = cal(patchAcc)
-	r.embedW = cal(m.Patch.W.Data())
-	r.embedOut = cal(siteAcc[vit.Site{Block: -1, Name: "embed.out"}.Key()])
-	r.headIn = cal(siteAcc[vit.Site{Block: -1, Name: "head.in"}.Key()])
-	r.headW = cal(m.Head.W.Data())
-	r.headOut = cal(logitAcc)
-
-	for bi, blk := range m.Blocks {
-		bp, err := CalibrateBlock(blk, blockInputs[bi], bits)
+	r.patchIn = a.get(-1, "patch.in")
+	r.lastOut = a.get(depth-1, "resid2.out")
+	headIn := a.get(-1, "head.in")
+	if err := a.err(); err != nil {
+		return nil, err
+	}
+	var err error
+	if r.pPatch, err = prepareWeight(weights, vit.Site{Block: -1, Name: "patch.w"}, m.Patch); err != nil {
+		return nil, err
+	}
+	if r.pHead, err = prepareWeight(weights, vit.Site{Block: -1, Name: "head.w"}, m.Head); err != nil {
+		return nil, err
+	}
+	for i, blk := range m.Blocks {
+		br, err := NewBlockRunner(blk, i, acts, weights, arr)
 		if err != nil {
-			return nil, fmt.Errorf("accel: block %d: %w", bi, err)
-		}
-		br, err := NewBlockRunner(blk, bp, arr)
-		if err != nil {
-			return nil, fmt.Errorf("accel: block %d: %w", bi, err)
+			return nil, fmt.Errorf("accel: block %d: %w", i, err)
 		}
 		r.blocks = append(r.blocks, br)
 	}
-
-	var err error
-	lastIn := r.blocks[cfg.Depth-1].p.Resid2
-	if r.finalLN, err = sfu.NewLayerNormUnit(lastIn, r.headIn, m.Final.Gamma, m.Final.Beta); err != nil {
+	if r.finalLN, err = sfu.NewLayerNormUnit(r.lastOut, headIn, m.Final.Gamma, m.Final.Beta); err != nil {
 		return nil, fmt.Errorf("accel: final layernorm: %w", err)
 	}
-	if r.rWEmbed, err = qub.RegistersFor(r.embedW); err != nil {
+	if r.rPatchIn, err = qub.RegistersFor(r.patchIn); err != nil {
 		return nil, err
 	}
-	r.wEmbed = qub.EncodeTensor(r.embedW, m.Patch.W.Data())
-	if r.rWHead, err = qub.RegistersFor(r.headW); err != nil {
+	if r.rHeadIn, err = qub.RegistersFor(headIn); err != nil {
 		return nil, err
 	}
-	r.wHead = qub.EncodeTensor(r.headW, m.Head.W.Data())
 	return r, nil
+}
+
+// decodeGEMM multiplies x ([m, w.Rows] QUB with regs rx) by a resident
+// weight and decodes the accumulator at the float boundary:
+// acc·Δx·Δw + bias.
+func (r *ModelRunner) decodeGEMM(x []qub.Word, rx qub.Registers, w *PreparedOperand, m int, bias []float64, stats *RunStats) (*tensor.Tensor, error) {
+	res, err := r.arr.GEMMPrepared(x, rx, w, m, w.Rows, nil)
+	if err != nil {
+		return nil, err
+	}
+	stats.add(res.Stats)
+	//quq:float-ok decode boundary: one scale of the exact integer accumulator (an exact power-of-two product of the operand Δs)
+	unit := rx.BaseDelta * w.Delta
+	out := tensor.New(m, w.Cols)
+	od := out.Data()
+	for i, acc := range res.Acc {
+		//quq:float-ok decode boundary: the embedding and head outputs leave the integer datapath here, plus the float bias
+		od[i] = float64(acc)*unit + bias[i%w.Cols]
+	}
+	return out, nil
 }
 
 // Run classifies one image entirely on the integer datapath and returns
 // the logits plus the cycle accounting.
-func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *ModelStats, error) {
+func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *RunStats, error) {
 	cfg := r.m.Config()
-	stats := &ModelStats{}
-	gemm := func(x []qub.Word, rx qub.Registers, w []qub.Word, rw qub.Registers,
-		m, k, n int, bias []float64, pout *quant.Params) ([]qub.Word, error) {
-		res, err := r.arr.GEMM(x, rx, w, rw, m, k, n, nil)
-		if err != nil {
-			return nil, err
-		}
-		stats.GEMMCycles += res.Stats.Cycles
-		stats.MACs += res.Stats.MACs
-		//quq:float-ok accumulator-unit derivation is requantizer configuration (exact power-of-two product), not per-element datapath work
-		qu, err := NewQuantizeUnit(pout, rx.BaseDelta*rw.BaseDelta)
-		if err != nil {
-			return nil, err
-		}
-		var biasAcc []int64
-		if bias != nil {
-			biasAcc = make([]int64, n)
-			//quq:float-ok one-time weight-loading conversion of the float bias into integer accumulator units
-			unit := rx.BaseDelta * rw.BaseDelta
-			for j, b := range bias {
-				// RoundToEven, not +0.5 truncation: truncation after +0.5
-				// rounds negative values toward zero (int64(-1.6) = -1
-				// where -2 is nearest), biasing every negative bias up by
-				// one accumulator unit.
-				//quq:float-ok same weight-loading bias conversion
-				biasAcc[j] = int64(math.RoundToEven(b / unit))
-			}
-		}
-		out := make([]qub.Word, m*n)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				acc := res.Acc[i*n+j]
-				if biasAcc != nil {
-					acc += biasAcc[j]
-				}
-				out[i*n+j] = qub.Encode(pout, qu.Requantize(acc))
-			}
-		}
-		return out, nil
-	}
+	stats := &RunStats{}
 
 	// Patch embedding GEMM.
 	patches := vit.Patchify(img, cfg.PatchSize)
-	rIn, err := qub.RegistersFor(r.embedIn)
+	pe := qub.EncodeTensor(r.patchIn, patches.Data())
+	emb, err := r.decodeGEMM(pe, r.rPatchIn, r.pPatch, patches.Dim(0), r.m.Patch.B, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	pe := qub.EncodeTensor(r.embedIn, patches.Data())
-	embW, err := gemm(pe, rIn, r.wEmbed, r.rWEmbed, patches.Dim(0), cfg.PatchDim(), cfg.Dim, r.m.Patch.B, r.embedOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	rEmb, err := qub.RegistersFor(r.embedOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	emb := qub.DecodeTensor(embW, rEmb)
 
-	// Token assembly (cls, registers, position embeddings) happens at the
-	// token buffer in the quantized domain: the additions run on the
-	// element-wise SFU; here the decoded integers are reassembled and
-	// re-encoded with the block-input quantizer.
+	// Token assembly (cls, registers, position embeddings) at the token
+	// buffer; block 0 encodes the result with its input quantizer.
 	nreg := 0
 	if r.m.Reg != nil {
 		nreg = r.m.Reg.Dim(0)
@@ -199,7 +127,7 @@ func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *ModelStats, erro
 		copy(tokens.Row(1+i), r.m.Reg.Row(i))
 	}
 	for row := 0; row < patches.Dim(0); row++ {
-		copy(tokens.Row(1+nreg+row), emb[row*cfg.Dim:(row+1)*cfg.Dim])
+		copy(tokens.Row(1+nreg+row), emb.Row(row))
 	}
 	tokens.AddInPlace(r.m.Pos)
 
@@ -215,21 +143,10 @@ func (r *ModelRunner) Run(img *tensor.Tensor) (*tensor.Tensor, *ModelStats, erro
 	}
 
 	// Final LayerNorm (SFU) on the class token, then the head GEMM.
-	lastParams := r.blocks[len(r.blocks)-1].p.Resid2
-	clsWords := qub.EncodeTensor(lastParams, x.Row(0))
-	headRow := r.finalLN.Row(clsWords)
-	rHead, err := qub.RegistersFor(r.headIn)
+	headRow := r.finalLN.Row(qub.EncodeTensor(r.lastOut, x.Row(0)))
+	logits, err := r.decodeGEMM(headRow, r.rHeadIn, r.pHead, 1, r.m.Head.B, stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	logitsW, err := gemm(headRow, rHead, r.wHead, r.rWHead, 1, cfg.Dim, cfg.Classes, r.m.Head.B, r.headOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	rLogits, err := qub.RegistersFor(r.headOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	logits := qub.DecodeTensor(logitsW, rLogits)
-	return tensor.FromSlice(logits, cfg.Classes), stats, nil
+	return logits.Reshape(cfg.Classes), stats, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quq/internal/accel"
+	"quq/internal/baselines"
 	"quq/internal/data"
 	"quq/internal/nn"
 	"quq/internal/ptq"
@@ -11,15 +12,39 @@ import (
 	"quq/internal/vit"
 )
 
-// TestModelRunnerClassifiesLikeQuantizedModel is the whole-system
-// integration check: a trained-head ViT-Nano executed entirely on the
-// integer QUA datapath must reach nearly the same top-1 accuracy as the
-// floating-point fake-quantization executor at the same bit-width, and
-// stay close to FP32 at 8 bits.
-func TestModelRunnerClassifiesLikeQuantizedModel(t *testing.T) {
+// quantizedNano returns a trained-head ViT-Nano and its PTQ quantization
+// (QUQ method, Full regime) over calibN calibration images — the model
+// the simulator executes.
+func quantizedNano(t testing.TB, bits, calibN int) (vit.Model, *ptq.QuantizedModel) {
+	t.Helper()
 	cfg := vit.ViTNano
 	m, _ := nn.PretrainedZoo(cfg, 31, 80)
-	calib := data.CalibrationSet(cfg, 8, 5)
+	qm, err := ptq.Quantize(m, ptq.NewQUQ(), ptq.CalibOptions{
+		Bits: bits, Regime: ptq.Full, Images: data.CalibrationSet(cfg, calibN, 5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, qm
+}
+
+func newRunner(t testing.TB, qm *ptq.QuantizedModel, arr accel.ArrayConfig) *accel.ModelRunner {
+	t.Helper()
+	r, err := accel.NewModelRunner(qm.Model, qm.ActParams(), qm.WeightParams, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestModelRunnerClassifiesLikeQuantizedModel is the whole-system
+// integration check: a trained-head ViT-Nano executed entirely on the
+// integer QUA datapath must stay close to FP32 top-1 at 8 bits and
+// classify like the fake-quantization executor of the same quantized
+// model.
+func TestModelRunnerClassifiesLikeQuantizedModel(t *testing.T) {
+	cfg := vit.ViTNano
+	m, qm := quantizedNano(t, 8, 8)
 	test := data.PatternSamples(cfg.Channels, cfg.ImageSize, 60, 606)
 	images := make([]*tensor.Tensor, len(test))
 	labels := make([]int, len(test))
@@ -32,11 +57,8 @@ func TestModelRunnerClassifiesLikeQuantizedModel(t *testing.T) {
 		t.Skipf("reference model too weak (%v) for an accuracy comparison", fp32)
 	}
 
-	runner, err := accel.NewModelRunner(m, calib, 8, accel.DefaultArray(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := 0
+	runner := newRunner(t, qm, accel.DefaultArray(8))
+	hit, agree := 0, 0
 	var totalMACs int64
 	for i, img := range images {
 		logits, stats, err := runner.Run(img)
@@ -49,11 +71,18 @@ func TestModelRunnerClassifiesLikeQuantizedModel(t *testing.T) {
 		if logits.ArgMax() == labels[i] {
 			hit++
 		}
+		if logits.ArgMax() == qm.Forward(img).ArgMax() {
+			agree++
+		}
 		totalMACs = stats.MACs
 	}
 	acc := float64(hit) / float64(len(images))
+	t.Logf("8-bit integer top-1 %.3f (FP32 %.3f), argmax agreement with the fake-quant executor %d/%d", acc, fp32, agree, len(images))
 	if acc < fp32-0.10 {
 		t.Fatalf("integer datapath top-1 %v too far below FP32 %v", acc, fp32)
+	}
+	if a := float64(agree) / float64(len(images)); a < 0.9 {
+		t.Fatalf("integer datapath argmax agrees with the fake-quant executor on %d/%d images", agree, len(images))
 	}
 	if totalMACs <= 0 {
 		t.Fatal("no MACs accounted")
@@ -61,35 +90,50 @@ func TestModelRunnerClassifiesLikeQuantizedModel(t *testing.T) {
 }
 
 func TestModelRunnerRejectsUnsupported(t *testing.T) {
-	calib := data.CalibrationSet(vit.SwinTiny, 2, 1)
-	if _, err := accel.NewModelRunner(vit.New(vit.SwinTiny, 1), calib, 8, accel.DefaultArray(8)); err == nil {
+	if _, err := accel.NewModelRunner(vit.New(vit.SwinTiny, 1), nil, nil, accel.DefaultArray(8)); err == nil {
 		t.Fatal("accepted a Swin model")
 	}
-	m := vit.New(vit.ViTNano, 1)
-	if _, err := accel.NewModelRunner(m, nil, 8, accel.DefaultArray(8)); err == nil {
+	if _, err := accel.NewModelRunner(vit.New(vit.ViTNano, 1), nil, nil, accel.DefaultArray(8)); err == nil {
 		t.Fatal("accepted empty calibration")
 	}
 }
 
-func TestModelRunnerCycleAccountingScales(t *testing.T) {
+// TestModelRunnerRejectsPartialOrNonQUQ pins the all-or-nothing build:
+// the simulator needs a QUQ parameter set at every site, so a Partial-
+// regime model (no residual/LayerNorm/softmax-input quantizers) and a
+// model quantized by another method both fail instead of running a
+// partly calibrated datapath.
+func TestModelRunnerRejectsPartialOrNonQUQ(t *testing.T) {
 	cfg := vit.ViTNano
-	m := vit.New(cfg, 33)
-	calib := data.CalibrationSet(cfg, 4, 7)
-	img := data.Images(cfg, 1, 8)[0]
+	m := vit.New(cfg, 1)
+	calib := data.CalibrationSet(cfg, 1, 1)
+	for _, tc := range []struct {
+		name   string
+		method ptq.Method
+		regime ptq.Regime
+	}{
+		{"partial QUQ", ptq.NewQUQ(), ptq.Partial},
+		{"full BaseQ", baselines.BaseQ{}, ptq.Full},
+	} {
+		qm, err := ptq.Quantize(m, tc.method, ptq.CalibOptions{Bits: 8, Regime: tc.regime, Images: calib})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := accel.NewModelRunner(qm.Model, qm.ActParams(), qm.WeightParams, accel.DefaultArray(8)); err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+	}
+}
 
-	big, err := accel.NewModelRunner(m, calib, 6, accel.ArrayConfig{N: 16, Bits: 6})
+func TestModelRunnerCycleAccountingScales(t *testing.T) {
+	_, qm := quantizedNano(t, 6, 4)
+	img := data.Images(vit.ViTNano, 1, 8)[0]
+
+	_, sBig, err := newRunner(t, qm, accel.ArrayConfig{N: 16, Bits: 6}).Run(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := accel.NewModelRunner(m, calib, 6, accel.ArrayConfig{N: 4, Bits: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sBig, err := big.Run(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sSmall, err := small.Run(img)
+	_, sSmall, err := newRunner(t, qm, accel.ArrayConfig{N: 4, Bits: 6}).Run(img)
 	if err != nil {
 		t.Fatal(err)
 	}

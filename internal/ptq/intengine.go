@@ -50,6 +50,7 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 		return nil, fmt.Errorf("ptq: model has no recorded weight params (method %q); int path needs a WeightParamsRecorder method", q.Method)
 	}
 	e := &IntEngine{ops: make(map[string]*intOp)}
+	acts := q.ActParams()
 	var err error
 	q.Model.ForEachWeight(func(site vit.Site, l *vit.Linear) {
 		if err != nil {
@@ -65,8 +66,8 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 			err = fmt.Errorf("ptq: weight site %s has no input-site mapping", site.Key())
 			return
 		}
-		tq, ok := q.Acts[inSite.Key()].(QUQTensorQuantizer)
-		if !ok {
+		xp := acts[inSite.Key()]
+		if xp == nil {
 			err = fmt.Errorf("ptq: GEMM input %s of weight %s has no QUQ activation quantizer", inSite.Key(), site.Key())
 			return
 		}
@@ -77,12 +78,12 @@ func NewIntEngine(q *QuantizedModel) (*IntEngine, error) {
 		}
 		// Worst case |Σ mx·mw| ≤ k·max|mx|·max|mw| must stay clear of
 		// int64 wrap; 2^62 leaves a 2× safety margin.
-		xMax := tq.Params.MaxCodeMag()
+		xMax := xp.MaxCodeMag()
 		if float64(l.In())*float64(xMax)*float64(prep.MaxAbs) > math.Ldexp(1, 62) {
 			err = fmt.Errorf("ptq: weight site %s: worst-case accumulator k=%d·%d·%d exceeds 2^62", site.Key(), l.In(), xMax, prep.MaxAbs)
 			return
 		}
-		xd := tq.Params.BaseDelta()
+		xd := xp.BaseDelta()
 		e.ops[site.Key()] = &intOp{prep: prep, xDelta: xd, xInv: 1 / xd, unit: xd * prep.Delta}
 	})
 	if err != nil {

@@ -2,8 +2,10 @@ package ptq
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"quq/internal/data"
 	"quq/internal/rng"
 	"quq/internal/tensor"
 	"quq/internal/vit"
@@ -158,5 +160,54 @@ func TestIntEngineFallsBackOffGrid(t *testing.T) {
 	}
 	if e.Linear(vit.Site{Block: 99, Name: "nonsense.w"}, lin, dst, x) {
 		t.Fatal("engine accepted an unknown site")
+	}
+}
+
+// declineCounter wraps an IntEngine and counts, per weight site, the
+// calls it declined (the float path then ran instead).
+type declineCounter struct {
+	e        *IntEngine
+	declines map[string]int
+}
+
+func (d *declineCounter) Linear(site vit.Site, l *vit.Linear, dst, x *tensor.Tensor) bool {
+	if d.e.Linear(site, l, dst, x) {
+		return true
+	}
+	d.declines[site.Key()]++
+	return false
+}
+
+// TestIntEngineDeclineSet pins where the integer path silently falls
+// back to float in a real forward pass: nowhere, except Swin's head GEMM
+// once per forward — its input is the mean-pooled head.in tokens, which
+// are off the activation grid. Any new decline is a silent float
+// fallback and fails here. The Full regime stands for both: the engine
+// only checks GEMM inputs against their quantizers, which both regimes
+// install alike.
+func TestIntEngineDeclineSet(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  vit.Config
+		want map[string]int
+	}{
+		{vit.ViTNano, map[string]int{}},
+		{vit.ViTSmall, map[string]int{}},
+		{vit.DeiTSmall, map[string]int{}},
+		{vit.SwinTiny, map[string]int{"b-1.head.w": 1}},
+	} {
+		calib := data.CalibrationSet(tc.cfg, 1, 4)
+		qm, err := Quantize(vit.New(tc.cfg, 3), NewQUQ(), CalibOptions{Bits: 6, Regime: Full, Images: calib})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewIntEngine(qm)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cfg.Name, err)
+		}
+		d := &declineCounter{e: e, declines: map[string]int{}}
+		qm.ForwardOpts(data.Images(tc.cfg, 1, 5)[0], vit.ForwardOpts{Engine: d})
+		if !reflect.DeepEqual(d.declines, tc.want) {
+			t.Errorf("%s: int path declined %v, want %v", tc.cfg.Name, d.declines, tc.want)
+		}
 	}
 }

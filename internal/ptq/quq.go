@@ -40,6 +40,22 @@ type QUQTensorQuantizer struct {
 	Params *quant.Params
 }
 
+// ActParams returns the calibrated params behind every QUQ activation
+// quantizer of q, keyed like Acts. Together with WeightParams this is the
+// calibration both integer consumers execute — NewIntEngine and the
+// accelerator simulator (accel.NewModelRunner) — so they run the same
+// quantized model as the float path. Sites with another method's
+// quantizer are absent.
+func (q *QuantizedModel) ActParams() map[string]*quant.Params {
+	out := make(map[string]*quant.Params, len(q.Acts))
+	for key, tq := range q.Acts {
+		if qq, ok := tq.(QUQTensorQuantizer); ok {
+			out[key] = qq.Params
+		}
+	}
+	return out
+}
+
 // Apply implements TensorQuantizer. It quantizes x into a fresh tensor
 // (x is left untouched — callers may still hold it, e.g. as a residual)
 // rather than cloning first, saving a copy pass per site.

@@ -24,20 +24,16 @@ import (
 // cutover, and reference-kernel seam (SetReferenceKernels).
 
 // intMatMulDims validates operand/destination lengths for an m×k @ k×n
-// (or, with bT set, m×k @ (n×k)ᵀ) integer GEMM.
-func intMatMulDims(dst, a, b []int64, m, k, n int, bT bool, op string) {
+// integer GEMM.
+func intMatMulDims(dst, a, b []int64, m, k, n int, op string) {
 	if m < 0 || k < 0 || n < 0 {
 		panic(check.Invariantf("tensor: %s negative dimensions %dx%dx%d", op, m, k, n))
 	}
 	if len(a) < m*k {
 		panic(check.Invariantf("tensor: %s lhs length %d, want >= %d", op, len(a), m*k))
 	}
-	want := k * n
-	if bT {
-		want = n * k
-	}
-	if len(b) < want {
-		panic(check.Invariantf("tensor: %s rhs length %d, want >= %d", op, len(b), want))
+	if len(b) < k*n {
+		panic(check.Invariantf("tensor: %s rhs length %d, want >= %d", op, len(b), k*n))
 	}
 	if len(dst) < m*n {
 		panic(check.Invariantf("tensor: %s destination length %d, want >= %d", op, len(dst), m*n))
@@ -59,7 +55,7 @@ func intMatMulDims(dst, a, b []int64, m, k, n int, bT bool, op string) {
 //
 //quq:hotpath steady-state integer GEMM kernel; destinations come from the caller (arena or resident buffer), never fresh allocations
 func IntMatMulInto(dst, a, b []int64, m, k, n int) {
-	intMatMulDims(dst, a, b, m, k, n, false, "IntMatMulInto")
+	intMatMulDims(dst, a, b, m, k, n, "IntMatMulInto")
 	if refKernels.Load() {
 		intMatMulRefRange(dst, a, b, k, n, 0, m)
 		return
@@ -73,16 +69,17 @@ func IntMatMulInto(dst, a, b []int64, m, k, n int) {
 }
 
 // pickIntMicro selects the micro-kernel for one GEMM call: the narrow
-// (int32-operand) kernel when it exists and every element of both
-// operands fits in int32, the general wide kernel otherwise. The O(mk +
-// kn) scan is negligible against the O(mkn) multiply and keeps the
+// (int32-operand) SIMD kernel when it exists and every element of both
+// operands fits in int32, the portable kernel otherwise. The O(mk + kn)
+// scan is negligible against the O(mkn) multiply and keeps the
 // bit-exactness contract unconditional — wide values simply take the
-// wide kernel.
+// portable kernel. Every production operand (integer-path codes,
+// pre-shifted QUB values) is narrow.
 func pickIntMicro(a, b []int64) func(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) {
 	if intMicro4x4Narrow != nil && int64sNarrow(a) && int64sNarrow(b) {
 		return intMicro4x4Narrow
 	}
-	return intMicro4x4
+	return intMicro4x4Go
 }
 
 // int64sNarrow reports whether every value fits in int32.
@@ -95,27 +92,6 @@ func int64sNarrow(s []int64) bool {
 	return true
 }
 
-// IntMatMulTInto computes dst = a @ bᵀ for flat row-major int64 matrices
-// (m×k) @ (n×k)ᵀ -> (m×n) into caller-provided storage. The transposed
-// form streams both operands row-major — it is the natural layout for a
-// weight matrix stored output-channel-major. dst must not share storage
-// with a or b.
-//
-//quq:hotpath steady-state integer GEMM kernel; destinations come from the caller (arena or resident buffer), never fresh allocations
-func IntMatMulTInto(dst, a, b []int64, m, k, n int) {
-	intMatMulDims(dst, a, b, m, k, n, true, "IntMatMulTInto")
-	if refKernels.Load() {
-		intMatMulTRefRange(dst, a, b, k, n, 0, m)
-		return
-	}
-	micro := pickIntMicro(a[:m*k], b[:n*k])
-	if extra := planExtra(m, k, n); extra > 0 {
-		runRows(extra, m, func(i0, i1 int) { intMatMulTRange(dst, a, b, k, n, i0, i1, micro) })
-	} else {
-		intMatMulTRange(dst, a, b, k, n, 0, m, micro)
-	}
-}
-
 // intPackPool recycles the per-call int64 B-panel pack buffers so
 // steady-state integer kernels allocate nothing; each concurrent kernel
 // invocation (including each intra-op worker) takes its own buffer.
@@ -124,8 +100,8 @@ var intPackPool = sync.Pool{New: func() any { return new([]int64) }}
 // getIntPackAndAcc returns a pooled n-element int64 pack panel plus a
 // 16-element accumulator block for the micro-kernel, carved from one
 // pooled buffer so the steady state allocates nothing. The accumulator
-// must live in pooled memory (not the caller's frame): intMicro4x4 is
-// called through a function variable, so a stack-declared block would be
+// must live in pooled memory (not the caller's frame): the micro-kernel
+// is called through a function value, so a stack-declared block would be
 // marked escaping and heap-allocated on every kernel invocation.
 func getIntPackAndAcc(n int) (*[]int64, []int64, *[16]int64) {
 	p := intPackPool.Get().(*[]int64)
@@ -202,70 +178,6 @@ func intMatMulRange(dst, a, b []int64, k, n, i0, i1 int, micro func(c *[16]int64
 	intPackPool.Put(pp)
 }
 
-// intMatMulTRange is the register-tiled a @ bᵀ integer kernel over dst
-// rows [i0, i1): each group of nrTile b rows is packed transposed into
-// the same contiguous k×4 panel layout intMatMulRange uses, then swept
-// with the shared 4×4 micro-kernel.
-func intMatMulTRange(dst, a, b []int64, k, n, i0, i1 int, micro func(c *[16]int64, a0, a1, a2, a3, bp []int64, k int)) {
-	if n == 0 {
-		return
-	}
-	pp, packed, acc := getIntPackAndAcc(nrTile * k)
-	j := 0
-	for ; j+nrTile <= n; j += nrTile {
-		b0 := b[(j+0)*k : (j+0)*k+k]
-		b1 := b[(j+1)*k : (j+1)*k+k]
-		b2 := b[(j+2)*k : (j+2)*k+k]
-		b3 := b[(j+3)*k : (j+3)*k+k]
-		for kk := 0; kk < k; kk++ {
-			prow := packed[kk*nrTile : kk*nrTile+nrTile]
-			prow[0], prow[1], prow[2], prow[3] = b0[kk], b1[kk], b2[kk], b3[kk]
-		}
-		i := i0
-		for ; i+mrTile <= i1; i += mrTile {
-			a0 := a[(i+0)*k : (i+0)*k+k]
-			a1 := a[(i+1)*k : (i+1)*k+k]
-			a2 := a[(i+2)*k : (i+2)*k+k]
-			a3 := a[(i+3)*k : (i+3)*k+k]
-			micro(acc, a0, a1, a2, a3, packed, k)
-			d0 := dst[(i+0)*n+j : (i+0)*n+j+nrTile]
-			d1 := dst[(i+1)*n+j : (i+1)*n+j+nrTile]
-			d2 := dst[(i+2)*n+j : (i+2)*n+j+nrTile]
-			d3 := dst[(i+3)*n+j : (i+3)*n+j+nrTile]
-			d0[0], d0[1], d0[2], d0[3] = acc[0], acc[1], acc[2], acc[3]
-			d1[0], d1[1], d1[2], d1[3] = acc[4], acc[5], acc[6], acc[7]
-			d2[0], d2[1], d2[2], d2[3] = acc[8], acc[9], acc[10], acc[11]
-			d3[0], d3[1], d3[2], d3[3] = acc[12], acc[13], acc[14], acc[15]
-		}
-		for ; i < i1; i++ {
-			arow := a[i*k : i*k+k]
-			var c0, c1, c2, c3 int64
-			for kk := 0; kk < k; kk++ {
-				bq := packed[kk*nrTile : kk*nrTile+nrTile]
-				av := arow[kk]
-				c0 += av * bq[0]
-				c1 += av * bq[1]
-				c2 += av * bq[2]
-				c3 += av * bq[3]
-			}
-			drow := dst[i*n+j : i*n+j+nrTile]
-			drow[0], drow[1], drow[2], drow[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		brow := b[j*k : j*k+k]
-		for i := i0; i < i1; i++ {
-			arow := a[i*k : i*k+k]
-			var s int64
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
-			}
-			dst[i*n+j] = s
-		}
-	}
-	intPackPool.Put(pp)
-}
-
 // intMatMulRefRange is the naive scalar a @ b integer loop, retained as
 // the oracle the tiled/SIMD kernels are tested against and the baseline
 // the integer kernel benchmarks measure.
@@ -285,34 +197,10 @@ func intMatMulRefRange(dst, a, b []int64, k, n, i0, i1 int) {
 	}
 }
 
-// intMatMulTRefRange is the naive scalar a @ bᵀ integer loop; see
-// intMatMulRefRange.
-func intMatMulTRefRange(dst, a, b []int64, k, n, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : i*k+k]
-		orow := dst[i*n : i*n+n]
-		for j := range orow {
-			brow := b[j*k : j*k+k]
-			var s int64
-			for kk := 0; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
-			}
-			orow[j] = s
-		}
-	}
-}
-
 // IntMatMulRef computes dst = a @ b with the naive reference loop. It is
 // the oracle the blocked integer kernels are tested against; production
 // code uses IntMatMulInto.
 func IntMatMulRef(dst, a, b []int64, m, k, n int) {
-	intMatMulDims(dst, a, b, m, k, n, false, "IntMatMulRef")
+	intMatMulDims(dst, a, b, m, k, n, "IntMatMulRef")
 	intMatMulRefRange(dst, a, b, k, n, 0, m)
-}
-
-// IntMatMulTRef computes dst = a @ bᵀ with the naive reference loop; see
-// IntMatMulRef.
-func IntMatMulTRef(dst, a, b []int64, m, k, n int) {
-	intMatMulDims(dst, a, b, m, k, n, true, "IntMatMulTRef")
-	intMatMulTRefRange(dst, a, b, k, n, 0, m)
 }

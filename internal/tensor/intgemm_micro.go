@@ -1,23 +1,18 @@
 package tensor
 
-// The 4×4 integer GEMM micro-kernel behind intMatMulRange and
-// intMatMulTRange: 16 int64 dot products of four A rows against a shared
-// k×4 packed B panel, each output element owning an independent
-// accumulator chain. intMicro4x4 is a variable so amd64 can swap in the
-// AVX2 implementation at init when the CPU supports it; because int64
-// addition and multiplication wrap modulo 2^64, every grouping of the
-// same terms yields identical bits, so the vector kernel (which computes
-// the low 64 bits of each product via 32×32 partial products) is
-// bit-exact against this portable loop by construction.
-var intMicro4x4 func(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) = intMicro4x4Go
+// The 4×4 integer GEMM micro-kernel behind intMatMulRange: 16 int64 dot
+// products of four A rows against a shared k×4 packed B panel, each
+// output element owning an independent accumulator chain.
 
 // intMicro4x4Narrow, when non-nil, is a faster micro-kernel that is only
 // correct when every operand value fits in int32 (on amd64/AVX2, one
-// signed VPMULDQ per product instead of three unsigned partials).
-// pickIntMicro selects it after scanning both operands; the portable
-// build leaves it nil and always uses intMicro4x4. Narrowness covers the
-// whole integer datapath in practice: pre-shifted QUB values are bounded
-// by MaxMag << Shift ≪ 2^31.
+// signed VPMULDQ per product). pickIntMicro selects it after scanning
+// both operands; the portable build leaves it nil and always uses
+// intMicro4x4Go. Because int64 addition and multiplication wrap modulo
+// 2^64, every grouping of the same terms yields identical bits, so the
+// vector kernel is bit-exact against the portable loop by construction.
+// Narrowness covers the whole integer datapath in practice: pre-shifted
+// QUB values are bounded by MaxMag << Shift ≪ 2^31.
 var intMicro4x4Narrow func(c *[16]int64, a0, a1, a2, a3, bp []int64, k int)
 
 // intMicro4x4Go is the portable integer micro-kernel:

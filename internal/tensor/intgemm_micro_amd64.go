@@ -2,31 +2,18 @@
 
 package tensor
 
-// AVX2 path of the 4×4 integer micro-kernel. The assembly kernel keeps
-// one ymm accumulator per A row (four int64 column lanes — the
-// independent accumulator chains) and synthesizes the low 64 bits of
-// each 64×64 product from 32×32 unsigned partial products (VPMULUDQ):
-//
-//	lo64(a·b) = ((aH·bL + bH·aL) << 32) + aL·bL   (mod 2^64)
-//
-// which is exact modulo 2^64 for any signed inputs, so the vector kernel
-// is bit-identical to intMicro4x4Go. The equivalence and fuzz tests in
-// intgemm_test.go exercise whichever kernel init selected against the
-// naive reference oracles.
+// AVX2 path of the narrow 4×4 integer micro-kernel. The assembly kernel
+// keeps one ymm accumulator per A row (four int64 column lanes — the
+// independent accumulator chains) and forms each product with one signed
+// 32×32→64 VPMULDQ, exact when both operands fit in int32. The
+// equivalence and fuzz tests in intgemm_test.go exercise it against the
+// naive reference oracle.
 
-// intGemmKernel4x4 computes c[r*4+j] = Σ_kk a_r[kk]·bp[kk*4+j] (mod
-// 2^64) for r,j in 0..3. k must be ≥ 1 and the pointers must address k
-// (rows) and 4k (panel) readable int64s. Implemented in
-// intgemm_micro_amd64.s.
-//
-//go:noescape
-func intGemmKernel4x4(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
-
-// intGemmKernel4x4Narrow is the VPMULDQ variant for operands that fit in
-// int32 (one signed 32×32→64 multiply per product instead of three
-// unsigned partials). Callers must guarantee narrowness — pickIntMicro
-// scans both operands before selecting it. Implemented in
-// intgemm_micro_amd64.s.
+// intGemmKernel4x4Narrow computes c[r*4+j] = Σ_kk a_r[kk]·bp[kk*4+j]
+// for r,j in 0..3, for operands that fit in int32. Callers must
+// guarantee narrowness — pickIntMicro scans both operands before
+// selecting it. k must be ≥ 1 and the pointers must address k (rows) and
+// 4k (panel) readable int64s. Implemented in intgemm_micro_amd64.s.
 //
 //go:noescape
 func intGemmKernel4x4Narrow(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
@@ -35,14 +22,6 @@ func intGemmKernel4x4Narrow(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
 // AVX with XCR0 enabling xmm+ymm state, plus leaf 7 AVX2). Implemented
 // in intgemm_micro_amd64.s.
 func cpuHasAVX2() bool
-
-func intMicro4x4AVX2(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) {
-	if k == 0 {
-		*c = [16]int64{}
-		return
-	}
-	intGemmKernel4x4(c, &a0[0], &a1[0], &a2[0], &a3[0], &bp[0], k)
-}
 
 func intMicro4x4NarrowAVX2(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) {
 	if k == 0 {
@@ -54,7 +33,6 @@ func intMicro4x4NarrowAVX2(c *[16]int64, a0, a1, a2, a3, bp []int64, k int) {
 
 func init() {
 	if cpuHasAVX2() {
-		intMicro4x4 = intMicro4x4AVX2
 		intMicro4x4Narrow = intMicro4x4NarrowAVX2
 	}
 }

@@ -1,108 +1,14 @@
 #include "textflag.h"
 
-// func intGemmKernel4x4(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
-//
-// Four ymm accumulators, one per A row; each lane is one output column —
-// the independent int64 accumulator chains. AVX2 has no packed 64×64
-// multiply (VPMULLQ is AVX-512), so each k step synthesizes the low 64
-// bits of the product from 32×32 unsigned partials:
-//
-//	lo64(a·b) = ((aH·bL + bH·aL) << 32) + aL·bL   (mod 2^64)
-//
-// exact for signed inputs because two's-complement multiplication agrees
-// with unsigned multiplication modulo 2^64. The B panel row and its
-// high-32 halves are loaded/shifted once per k step and shared across
-// the four rows.
-TEXT ·intGemmKernel4x4(SB), NOSPLIT, $0-56
-	MOVQ c+0(FP), DI
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ bp+40(FP), SI
-	MOVQ k+48(FP), CX
-
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JE    done
-
-loop:
-	VMOVDQU (SI), Y0          // B panel row: 4 int64 lanes
-	VPSRLQ  $32, Y0, Y1       // bH per lane
-
-	// row 0: Y4 += lo64(a0 * B)
-	VPBROADCASTQ (R8), Y2
-	VPSRLQ       $32, Y2, Y3
-	VPMULUDQ     Y0, Y3, Y3   // aH*bL
-	VPMULUDQ     Y1, Y2, Y8   // bH*aL
-	VPADDQ       Y8, Y3, Y3
-	VPSLLQ       $32, Y3, Y3
-	VPMULUDQ     Y0, Y2, Y8   // aL*bL
-	VPADDQ       Y8, Y3, Y3
-	VPADDQ       Y3, Y4, Y4
-
-	// row 1: Y5 += lo64(a1 * B)
-	VPBROADCASTQ (R9), Y2
-	VPSRLQ       $32, Y2, Y3
-	VPMULUDQ     Y0, Y3, Y3
-	VPMULUDQ     Y1, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPSLLQ       $32, Y3, Y3
-	VPMULUDQ     Y0, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPADDQ       Y3, Y5, Y5
-
-	// row 2: Y6 += lo64(a2 * B)
-	VPBROADCASTQ (R10), Y2
-	VPSRLQ       $32, Y2, Y3
-	VPMULUDQ     Y0, Y3, Y3
-	VPMULUDQ     Y1, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPSLLQ       $32, Y3, Y3
-	VPMULUDQ     Y0, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPADDQ       Y3, Y6, Y6
-
-	// row 3: Y7 += lo64(a3 * B)
-	VPBROADCASTQ (R11), Y2
-	VPSRLQ       $32, Y2, Y3
-	VPMULUDQ     Y0, Y3, Y3
-	VPMULUDQ     Y1, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPSLLQ       $32, Y3, Y3
-	VPMULUDQ     Y0, Y2, Y8
-	VPADDQ       Y8, Y3, Y3
-	VPADDQ       Y3, Y7, Y7
-
-	ADDQ $32, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ CX
-	JNE  loop
-
-done:
-	VMOVDQU Y4, (DI)
-	VMOVDQU Y5, 32(DI)
-	VMOVDQU Y6, 64(DI)
-	VMOVDQU Y7, 96(DI)
-	VZEROUPPER
-	RET
-
 // func intGemmKernel4x4Narrow(c *[16]int64, a0, a1, a2, a3, bp *int64, k int)
 //
-// Narrow-operand variant: every input value must fit in int32 (the
+// Narrow-operand kernel: every input value must fit in int32 (the
 // dispatcher scans both operands before selecting this kernel). Each
 // int64 lane's low dword then holds the exact two's-complement int32 of
 // the value, so one VPMULDQ — signed 32×32→64 on the even dwords —
-// yields the exact int64 product, replacing the three-multiply
-// synthesis of the wide kernel. Pre-shifted QUB operands are ≤ ~2^22 in
-// magnitude, so the integer datapath always takes this kernel.
+// yields the exact int64 product. Pre-shifted QUB operands are ≤ ~2^22
+// in magnitude, so the integer datapath always takes this kernel; wide
+// operands fall back to the portable Go kernel.
 TEXT ·intGemmKernel4x4Narrow(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a0+8(FP), R8

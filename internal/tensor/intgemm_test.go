@@ -76,24 +76,9 @@ func TestIntMatMulIntoMatchesRef(t *testing.T) {
 	}
 }
 
-func TestIntMatMulTIntoMatchesRef(t *testing.T) {
-	src := rng.New(22)
-	for _, fill := range []func(*rng.Source, int) []int64{randInt64s, randNarrowInt64s} {
-		for _, s := range gemmShapes {
-			a := fill(src, s.m*s.k)
-			b := fill(src, s.n*s.k)
-			got := make([]int64, s.m*s.n)
-			want := make([]int64, s.m*s.n)
-			IntMatMulTInto(got, a, b, s.m, s.k, s.n)
-			IntMatMulTRef(want, a, b, s.m, s.k, s.n)
-			assertInt64Equal(t, "IntMatMulTInto", got, want)
-		}
-	}
-}
-
 // TestIntMicroDispatchBoundary pins the narrow/wide dispatch edge: a
 // single value of magnitude 2^31 (one past int32) anywhere in either
-// operand must force the wide kernel, while all-int32 operands (down to
+// operand must force the portable kernel, while all-int32 operands (down to
 // int32 min itself) stay narrow — and both must match the reference
 // exactly. Also verifies the scan inspects only the used prefix of
 // oversized operand slices.
@@ -165,17 +150,12 @@ func TestIntParallelMatchesSerial(t *testing.T) {
 	// 64·128·80 = 655360 MACs, above parallelMinMACs with 64 rows to split.
 	a := randInt64s(src, 64*128)
 	b := randInt64s(src, 128*80)
-	bt := randInt64s(src, 80*128)
 	want := make([]int64, 64*80)
-	wantT := make([]int64, 64*80)
 	IntMatMulRef(want, a, b, 64, 128, 80)
-	IntMatMulTRef(wantT, a, bt, 64, 128, 80)
 	for round := 0; round < 4; round++ {
 		got := make([]int64, 64*80)
 		IntMatMulInto(got, a, b, 64, 128, 80)
 		assertInt64Equal(t, "parallel IntMatMulInto", got, want)
-		IntMatMulTInto(got, a, bt, 64, 128, 80)
-		assertInt64Equal(t, "parallel IntMatMulTInto", got, wantT)
 	}
 }
 
@@ -183,12 +163,11 @@ func TestIntMatMulIntoRejectsBadDst(t *testing.T) {
 	a := make([]int64, 3*4)
 	b := make([]int64, 4*5)
 	for name, fn := range map[string]func(){
-		"short dst":   func() { IntMatMulInto(make([]int64, 3*4), a, b, 3, 4, 5) },
-		"short lhs":   func() { IntMatMulInto(make([]int64, 3*5), a[:11], b, 3, 4, 5) },
-		"short rhs":   func() { IntMatMulInto(make([]int64, 3*5), a, b[:19], 3, 4, 5) },
-		"neg dim":     func() { IntMatMulInto(make([]int64, 3*5), a, b, -3, 4, 5) },
-		"aliasing":    func() { IntMatMulInto(b, a, b, 3, 4, 5) },
-		"short rhs T": func() { IntMatMulTInto(make([]int64, 3*5), a, b[:19], 3, 4, 5) },
+		"short dst": func() { IntMatMulInto(make([]int64, 3*4), a, b, 3, 4, 5) },
+		"short lhs": func() { IntMatMulInto(make([]int64, 3*5), a[:11], b, 3, 4, 5) },
+		"short rhs": func() { IntMatMulInto(make([]int64, 3*5), a, b[:19], 3, 4, 5) },
+		"neg dim":   func() { IntMatMulInto(make([]int64, 3*5), a, b, -3, 4, 5) },
+		"aliasing":  func() { IntMatMulInto(b, a, b, 3, 4, 5) },
 	} {
 		func() {
 			defer func() {
@@ -228,7 +207,7 @@ func TestArenaInt64Reuse(t *testing.T) {
 }
 
 // FuzzIntGEMMEquivalence fuzzes randomized shapes and full-range int64
-// contents through both integer entry points, asserting exact equality
+// contents through IntMatMulInto, asserting exact equality
 // against the naive reference oracle — serial and with the parallel
 // budget raised. Wrapping overflow is in scope: int64 arithmetic mod
 // 2^64 must agree between kernels for any inputs.
@@ -242,26 +221,21 @@ func FuzzIntGEMMEquivalence(f *testing.F) {
 		m, k, n := int(m8%80), int(k8%80), int(n8%80)
 		src := rng.New(uint64(seed))
 		// Odd seeds pin the operands to int32 range so the narrow
-		// micro-kernel is fuzzed as systematically as the wide one.
+		// micro-kernel is fuzzed as systematically as the portable one.
 		fill := randInt64s
 		if seed%2 != 0 {
 			fill = randNarrowInt64s
 		}
 		a := fill(src, m*k)
 		b := fill(src, k*n)
-		bt := fill(src, n*k)
 		wantMM := make([]int64, m*n)
-		wantMMT := make([]int64, m*n)
 		IntMatMulRef(wantMM, a, b, m, k, n)
-		IntMatMulTRef(wantMMT, a, bt, m, k, n)
 
 		check := func(label string) {
 			t.Helper()
 			got := make([]int64, m*n)
 			IntMatMulInto(got, a, b, m, k, n)
 			assertInt64Equal(t, label+" IntMatMulInto", got, wantMM)
-			IntMatMulTInto(got, a, bt, m, k, n)
-			assertInt64Equal(t, label+" IntMatMulTInto", got, wantMMT)
 		}
 		check("serial")
 		SetIntraOpWorkers(4)
